@@ -7,17 +7,17 @@ raw (non-serial) sequence comparisons that break at the 2^32 wrap,
 encoded-RWND/wscale rounding errors, and nondeterminism from ad-hoc
 RNG or wall-clock use.  This package catches them mechanically:
 
-* **`repro-lint`** (:mod:`repro.analysis.lint`) — an AST static-analysis
-  pass over the source tree with repro-specific rules (RL001–RL005), an
-  inline suppression syntax that requires a written reason, and a CLI
-  driver: ``python -m repro.analysis lint src/``.
-* **whole-program analyzer** (:mod:`repro.analysis.project` +
-  :mod:`repro.analysis.checkers`) — parses the package once into a
+* **static analyzer** (:mod:`repro.analysis.project` +
+  :mod:`repro.analysis.checkers`) — parses each file once into a
   project model (symbol tables, import graph, conservative call graph)
-  and runs cross-file checkers RL101–RL104 (determinism taint,
-  trace-contract, unguarded hooks, snapshot reachability) with
-  content-hash incremental caching and a committed-baseline mechanism:
-  ``python -m repro.analysis analyze src/``.
+  and runs one catalog of rules over it: the per-file rules RL001–RL006
+  (:mod:`repro.analysis.rules`: raw sequence arithmetic, ad-hoc RNG,
+  wall-clock reads, timestamp equality, mutable defaults,
+  non-snapshot-safe module state) and the cross-file checkers
+  RL101–RL104 (determinism taint, trace contract, unguarded hooks,
+  snapshot reachability).  Inline suppressions require a written reason
+  (RL000 otherwise); findings are cached by content hash and checked
+  against a committed baseline: ``python -m repro.analysis analyze src/``.
 * **runtime sanitizer** (:mod:`repro.analysis.sanitize`) — opt-in
   invariant probes wrapped around the vSwitch datapath, the simulation
   engine and the switch buffer accounting.  Enabled via
@@ -25,45 +25,8 @@ RNG or wall-clock use.  This package catches them mechanically:
   off.  Violations raise :class:`~repro.analysis.sanitize.InvariantViolation`
   carrying the flow key, the sim time and the run seed so every failure
   is replayable.
+
+The package imports none of its submodules: the simulator loads only
+:mod:`repro.analysis.sanitize`, and the static analyzer stays out of
+every simulation process.  Import from the submodules directly.
 """
-
-from .checkers import (
-    CHECKER_CATALOG,
-    AnalyzeConfig,
-    analyze_paths,
-    analyze_project,
-)
-from .lint import LintConfig, lint_file, lint_paths, lint_source
-from .project import Project, build_project
-from .report import format_report
-from .rules import RULE_CATALOG, Violation
-from .sanitize import (
-    DatapathSanitizer,
-    InvariantViolation,
-    enable,
-    is_enabled,
-    run_seed,
-    set_run_seed,
-)
-
-__all__ = [
-    "AnalyzeConfig",
-    "CHECKER_CATALOG",
-    "DatapathSanitizer",
-    "InvariantViolation",
-    "LintConfig",
-    "Project",
-    "RULE_CATALOG",
-    "Violation",
-    "analyze_paths",
-    "analyze_project",
-    "build_project",
-    "enable",
-    "format_report",
-    "is_enabled",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "run_seed",
-    "set_run_seed",
-]

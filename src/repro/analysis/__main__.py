@@ -1,8 +1,9 @@
-"""CLI driver: ``python -m repro.analysis {lint,analyze,baseline}``.
+"""CLI driver: ``python -m repro.analysis {analyze,baseline}``.
 
-* ``lint``     — the per-file AST pass (RL001–RL006).
-* ``analyze``  — the whole-program pass (RL101–RL104) with incremental
-  caching, optional committed baseline, and JSON/SARIF output.
+* ``analyze``  — the static analyzer: per-file rules RL001–RL006 and
+  cross-file checkers RL101–RL104 (plus RL000/RL999) in one pass, with
+  incremental caching, optional committed baseline, and JSON/SARIF
+  output.
 * ``baseline`` — regenerate the committed baseline from current
   findings.
 
@@ -22,9 +23,7 @@ from .baseline import (DEFAULT_BASELINE_PATH, apply_baseline, load_baseline,
                        write_baseline)
 from .cache import AnalysisCache, default_cache_path
 from .checkers import CHECKER_CATALOG, AnalyzeConfig, analyze_paths
-from .lint import LintConfig, lint_paths
 from .report import format_json, format_report, format_sarif
-from .rules import RULE_CATALOG
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,22 +32,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Repro-specific static analysis for the AC/DC datapath.")
     sub = parser.add_subparsers(dest="command")
 
-    lint = sub.add_parser("lint", help="run the per-file AST lint pass")
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories to lint (default: src/)")
-    lint.add_argument("--select", default="",
-                      help="comma-separated rule codes to run (default: all)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalog and exit")
-
     analyze = sub.add_parser(
-        "analyze", help="run the whole-program pass (RL101-RL104)")
+        "analyze", help="run every rule (RL001-RL006, RL101-RL104)")
     analyze.add_argument("paths", nargs="*",
-                         help="package roots to analyze (default: src/)")
+                         help="files or directories to analyze "
+                              "(default: src/)")
     analyze.add_argument("--select", default="",
-                         help="comma-separated checker codes (default: all)")
+                         help="comma-separated rule codes (default: all)")
     analyze.add_argument("--list-rules", action="store_true",
-                         help="print the checker catalog and exit")
+                         help="print the rule catalog and exit")
     analyze.add_argument("--format", choices=("text", "json", "sarif"),
                          default="text", help="report format for stdout")
     analyze.add_argument("--sarif", metavar="PATH",
@@ -79,32 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_select(raw: str, catalog) -> Optional[tuple]:
+def _parse_select(raw: str) -> Optional[tuple]:
     select = tuple(c.strip() for c in raw.split(",") if c.strip())
-    unknown = [c for c in select if c not in catalog]
+    unknown = [c for c in select if c not in CHECKER_CATALOG]
     if unknown:
         print(f"repro-analysis: unknown rule(s): {', '.join(unknown)}",
               file=sys.stderr)
         return None
     return select
-
-
-def _run_lint(args) -> int:
-    if args.list_rules:
-        for code in sorted(RULE_CATALOG):
-            print(f"{code}  {RULE_CATALOG[code]}")
-        return 0
-    select = _parse_select(args.select, RULE_CATALOG)
-    if select is None:
-        return 2
-    config = LintConfig(select=select)
-    try:
-        violations = lint_paths(args.paths or ["src/"], config)
-    except OSError as exc:
-        print(f"repro-lint: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(violations))
-    return 1 if violations else 0
 
 
 def _analyze(paths, select, cache):
@@ -117,7 +91,7 @@ def _run_analyze(args) -> int:
         for code in sorted(CHECKER_CATALOG):
             print(f"{code}  {CHECKER_CATALOG[code]}")
         return 0
-    select = _parse_select(args.select, CHECKER_CATALOG)
+    select = _parse_select(args.select)
     if select is None:
         return 2
     cache = None if args.no_cache else AnalysisCache(args.cache)
@@ -177,8 +151,6 @@ def _run_baseline(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "lint":
-        return _run_lint(args)
     if args.command == "analyze":
         return _run_analyze(args)
     if args.command == "baseline":

@@ -32,7 +32,8 @@ from typing import Dict, List, Optional
 from .project import Project
 from .rules import Violation
 
-CACHE_VERSION = 1
+#: Bump when the file layout or summary shape changes (discards it).
+CACHE_VERSION = 2
 DEFAULT_CACHE_PATH = ".repro-analysis-cache.json"
 CACHE_ENV_VAR = "REPRO_ANALYSIS_CACHE"
 

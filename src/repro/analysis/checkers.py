@@ -1,8 +1,9 @@
-"""Cross-file checkers RL101–RL104 over the project model.
+"""Every analyzer rule, run over the project model.
 
-These are the whole-program counterparts of the per-file ``repro-lint``
-rules: each one enforces a platform contract that only holds (or breaks)
-across module boundaries.
+The per-file rules RL001–RL006 (catalogued in :mod:`repro.analysis.rules`)
+report the raw hits the summarizer recorded for each module.  The
+cross-file checkers RL101–RL104 each enforce a platform contract that
+only holds (or breaks) across module boundaries:
 
 RL101 **determinism-taint** — wall-clock reads and unseeded RNG draws
     are *sources*; the checker propagates their taint through local
@@ -49,14 +50,15 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .project import (BuildStats, ModuleSummary, Project, ProjectConfig,
-                      build_project)
-from .rules import Violation
+from .project import ModuleSummary, Project, ProjectConfig, build_project
+from .rules import RULE_CATALOG, Violation
 
 #: Bump when checker semantics change: invalidates cached findings.
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
+#: The one catalog: per-file rules, cross-file checkers, RL000/RL999.
 CHECKER_CATALOG = {
+    **RULE_CATALOG,
     "RL101": "determinism-taint: wall-clock/unseeded-RNG value reaches "
              "long-lived state through assignments, returns, or calls",
     "RL102": "trace-contract: emit() site or EVENT_SCHEMAS entry breaks "
@@ -77,7 +79,8 @@ _EMIT_SIGNATURE_KWARGS = ("flow", "component", "severity")
 class AnalyzeConfig:
     """Configuration for one whole-program analysis run."""
 
-    #: Restrict to these checkers (empty = all of RL101–RL104).
+    #: Restrict to these rules (empty = all).  RL000 and RL999 are
+    #: reported whatever the selection.
     select: Tuple[str, ...] = ()
     #: Modules whose import closure forms the picklable set (RL104).
     pickle_roots: Tuple[str, ...] = ("repro.control.service",)
@@ -108,6 +111,20 @@ class _Context:
     schema_owner: Optional[str]
     returns_taint: Dict[str, Set[str]]
     picklable: Set[str]
+
+
+# ---------------------------------------------------------------------------
+# RL001–RL006: raw hits recorded at summarization
+# ---------------------------------------------------------------------------
+def _per_file_rule(code: str):
+    """Checker for per-file rule ``code``: a filter over the module's
+    recorded hits, so it needs no parse and caches like any other."""
+    def check(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
+        return [Violation(path=summary.path, line=line, col=col, code=code,
+                          message=message)
+                for hit, line, col, message in summary.facts.get("hits", ())
+                if hit == code]
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +342,8 @@ def _check_rl104(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
 # Orchestration
 # ---------------------------------------------------------------------------
 _PER_MODULE_CHECKS = (
+    *((code, _per_file_rule(code))
+      for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006")),
     ("RL101", _check_rl101),
     ("RL102", _check_rl102),
     ("RL103", _check_rl103),
@@ -344,13 +363,15 @@ def build_context(project: Project, config: AnalyzeConfig) -> _Context:
 
 
 def check_module(ctx: _Context, module: str) -> List[Violation]:
-    """All per-module findings for ``module``, suppressions applied."""
+    """All per-module findings for ``module``, suppressions applied,
+    plus one RL000 per reason-less suppression comment."""
     summary = ctx.project.modules[module]
     found: List[Violation] = []
     for code, check in _PER_MODULE_CHECKS:
         if ctx.config.enabled(code):
             found.extend(check(summary, ctx))
-    return sorted(summary.suppressions.apply(found))
+    suppressions = summary.suppressions
+    return sorted(suppressions.apply(found) + suppressions.malformed)
 
 
 @dataclass
@@ -415,9 +436,10 @@ def analyze_paths(paths: Sequence[str],
             stats.from_cache += 1
         findings.extend(by_module[module])
     findings.extend(_check_dead_schemas(ctx))  # global: recomputed always
-    for path, msg in build_stats.errors:
-        findings.append(Violation(path=path, line=1, col=0, code="RL999",
-                                  message=msg))
+    for error in build_stats.errors:
+        findings.append(Violation(path=error.path, line=error.line,
+                                  col=error.col, code="RL999",
+                                  message=error.message))
     if cache is not None:
         cache.store(project, epoch, by_module)
     return sorted(findings), stats

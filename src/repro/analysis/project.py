@@ -1,17 +1,18 @@
 """Whole-program project model for ``python -m repro.analysis analyze``.
 
-The per-file lint pass (:mod:`repro.analysis.lint`) sees one module at a
-time, so anything that crosses a module boundary — a wall-clock value
-laundered through a helper function, an ``emit()`` whose event type only
-exists in another module's ``EVENT_SCHEMAS``, a lambda assigned onto a
-class that some *other* module pickles — is invisible to it.  This
-module parses the package once into a **project model**:
+A per-file view sees one module at a time, so anything that crosses a
+module boundary — a wall-clock value laundered through a helper
+function, an ``emit()`` whose event type only exists in another
+module's ``EVENT_SCHEMAS``, a lambda assigned onto a class that some
+*other* module pickles — is invisible to it.  This module parses every
+file once into a **project model**:
 
 * one :class:`ModuleSummary` per file — a plain-JSON fact sheet (symbol
   table, import edges, emit sites, a taint-dataflow skeleton, hook-use
-  guardedness, callable-onto-attribute stores, suppression table) that
-  the incremental cache (:mod:`repro.analysis.cache`) can persist and
-  reload without re-parsing the file;
+  guardedness, callable-onto-attribute stores, the raw hits of the
+  per-file rules RL001–RL006, suppression table) that the incremental
+  cache (:mod:`repro.analysis.cache`) can persist and reload without
+  re-parsing the file;
 * an **import graph** over the analyzed modules (module-level imports
   only — a function-local import is the sanctioned idiom for keeping a
   dependency *out* of a pickle closure, so it deliberately does not
@@ -31,20 +32,33 @@ from __future__ import annotations
 import ast
 import hashlib
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from .rules import RuleVisitor, is_registry_value, terminal_name
 from .suppress import Suppressions, parse_suppressions
 
 #: Bump when summary *shape* changes: stale caches are discarded wholesale.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
-# --- taint sources (mirrors the per-file RL002/RL003 vocabulary) ----------
+# --- nondeterminism sources: RL002/RL003/RL006 sites, RL101 taint -------
 WALL_CLOCK_TIME_ATTRS = {
     "time", "monotonic", "perf_counter", "process_time",
     "time_ns", "monotonic_ns", "perf_counter_ns", "process_time_ns",
 }
 WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
+
+#: Per-file rule and message tail for each source kind `_source_kind`
+#: returns.  Only 'wall-clock' and 'rng' taint values (RL101): a seeded
+#: Random is deterministic, merely invisible to snapshots.
+_SOURCE_RULES = {
+    "wall-clock": ("RL003", "(use the engine clock, sim.now)"),
+    "rng": ("RL002", "is nondeterministic across runs (draw from a "
+                     "named RngFactory stream)"),
+    "seeded-rng": ("RL006", "bypasses the RngFactory stream registry; its "
+                            "position is invisible to snapshots"),
+}
 
 #: Default attribute names treated as optional zero-cost-off hooks when a
 #: class can leave them ``None`` (RL103).
@@ -65,14 +79,17 @@ class ProjectConfig:
     the cache's config hash).
     """
 
-    #: Path suffixes exempt from RNG-source detection (the sanctioned
-    #: stream registry constructs its own seeded Randoms).
+    #: Path suffixes exempt from RL001 (the serial-arithmetic helpers).
+    serial_helper_suffixes: Tuple[str, ...] = ("net/packet.py",)
+    #: Path suffixes exempt from RNG-source detection and RL006 (the
+    #: sanctioned stream registry constructs its own seeded Randoms).
     rng_registry_suffixes: Tuple[str, ...] = ("sim/rng.py",)
     hook_attrs: Tuple[str, ...] = DEFAULT_HOOK_ATTRS
     schedule_callees: Tuple[str, ...] = DEFAULT_SCHEDULE_CALLEES
 
     def digest(self) -> str:
-        payload = repr((SUMMARY_VERSION, self.rng_registry_suffixes,
+        payload = repr((SUMMARY_VERSION, self.serial_helper_suffixes,
+                        self.rng_registry_suffixes,
                         self.hook_attrs, self.schedule_callees))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -97,7 +114,8 @@ class ModuleSummary:
 
     @property
     def suppressions(self) -> Suppressions:
-        return Suppressions.from_json(self.facts.get("suppressions", {}))
+        return Suppressions.from_json(self.facts.get("suppressions", {}),
+                                      self.path)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +157,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _terminal(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _is_none(node: Optional[ast.AST]) -> bool:
     return isinstance(node, ast.Constant) and node.value is None
 
@@ -155,27 +165,13 @@ def _is_optional_annotation(node: Optional[ast.AST]) -> bool:
     """``Optional[X]`` or ``X | None`` annotations."""
     if node is None:
         return False
-    if isinstance(node, ast.Subscript) and _terminal(node.value) == "Optional":
+    if isinstance(node, ast.Subscript) \
+            and terminal_name(node.value) == "Optional":
         return True
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
         return _is_none(node.left) or _is_none(node.right) \
             or _is_optional_annotation(node.left) \
             or _is_optional_annotation(node.right)
-    return False
-
-
-#: RL006-style mutable-registry values (module-level run state).
-_MUTABLE_CALLEES = {"list", "dict", "set", "bytearray", "deque",
-                    "defaultdict", "OrderedDict", "Counter",
-                    "count", "cycle", "chain", "repeat"}
-
-
-def _is_registry_value(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                         ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        return _terminal(node.func) in _MUTABLE_CALLEES
     return False
 
 
@@ -194,8 +190,8 @@ class _Summarizer:
         self.source = source
         self.config = config
         norm = path.replace(os.sep, "/")
-        self.rng_exempt = any(norm.endswith(sfx)
-                              for sfx in config.rng_registry_suffixes)
+        self.seq_exempt = norm.endswith(config.serial_helper_suffixes)
+        self.rng_exempt = norm.endswith(config.rng_registry_suffixes)
         # import state
         self.module_aliases: Dict[str, str] = {}   # alias -> dotted module
         self.from_bindings: Dict[str, Tuple[str, str]] = {}  # name -> (mod, orig)
@@ -211,16 +207,26 @@ class _Summarizer:
         self.schemas: Dict[str, List[str]] = {}
         self.schema_lines: Dict[str, int] = {}
         self.picklable_stores: List[dict] = []
+        #: raw per-file rule hits, ``[code, line, col, message]``
+        self.hits: List[list] = []
+        #: id(call node) -> taint kind, for the RL101 dataflow skeleton
+        self.taint_sources: Dict[int, str] = {}
+
+    def _hit(self, code: str, node: ast.AST, message: str) -> None:
+        self.hits.append([code, node.lineno, node.col_offset, message])
 
     # ------------------------------------------------------------------
     def run(self) -> dict:
         self._collect_imports_and_toplevel()
+        self._collect_module_sites()
+        visitor = RuleVisitor(seq_exempt=self.seq_exempt)
+        visitor.visit(self.tree)
+        self.hits.extend(visitor.hits)
         for node in self.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._summarize_function(node, qual=node.name, cls=None)
             elif isinstance(node, ast.ClassDef):
                 self._summarize_class(node)
-        self._collect_emits_and_literals()
         sup = parse_suppressions(self.source, self.path)
         return {
             "imports": sorted(self.import_targets),
@@ -232,6 +238,7 @@ class _Summarizer:
             "event_schema_lines": self.schema_lines,
             "picklable_stores": self.picklable_stores,
             "registries": sorted(self.registries),
+            "hits": sorted(self.hits),
             "suppressions": sup.to_json(),
         }
 
@@ -296,17 +303,40 @@ class _Summarizer:
                 self.schemas[key.value] = fields
                 self.schema_lines[key.value] = key.lineno
         elif (not name.isupper() and not name.startswith("__")
-              and _is_registry_value(value)):
+              and is_registry_value(value)):
             self.registries.add(name)
+            if not self.rng_exempt:
+                self._hit("RL006", node,
+                          f"module-level mutable registry '{name}' lives "
+                          "outside every snapshot (restored runs silently "
+                          "reset it); hold it on an object the run owns")
 
     # ------------------------------------------------------------------
-    def _collect_emits_and_literals(self) -> None:
+    def _collect_module_sites(self) -> None:
+        """One walk over the whole module: string literals, emit sites,
+        ``global`` statements and nondeterminism-source calls."""
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if len(node.value) <= 120:
                     self.literals.add(node.value)
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
+            elif isinstance(node, ast.Global) and not self.rng_exempt:
+                # The tell-tale of a module-level counter written from a
+                # function: immutable values dodge the registry check,
+                # so catch them at the mutation site.
+                self._hit("RL006", node,
+                          "global statement mutates module-level state "
+                          f"({', '.join(node.names)}); snapshots cannot "
+                          "capture it — hold it on an object the run owns")
+            if not isinstance(node, ast.Call):
+                continue
+            source = self._source_kind(node)
+            if source is not None:
+                kind, detail = source
+                code, tail = _SOURCE_RULES[kind]
+                self._hit(code, node, f"{detail} {tail}")
+                if kind != "seeded-rng":
+                    self.taint_sources[id(node)] = kind
+            if (isinstance(node.func, ast.Attribute)
                     and node.func.attr == "emit"):
                 first = node.args[0] if node.args else None
                 type_ = (first.value
@@ -344,47 +374,49 @@ class _Summarizer:
                     return f"{mod}:{func.attr}"
         return None
 
-    def _source_kind(self, call: ast.Call) -> Optional[str]:
-        """'wall-clock' / 'rng' when ``call`` is a nondeterminism source."""
-        func = call.func
-        if isinstance(func, ast.Name):
-            bound = self.from_bindings.get(func.id)
-            if bound is None:
-                return None
-            mod, orig = bound
-            if mod == "time" and orig in WALL_CLOCK_TIME_ATTRS:
-                return "wall-clock"
-            if mod == "datetime" and orig == "datetime":
-                return None  # class alias; calls are constructions
-            if mod == "random" and not self.rng_exempt:
-                if orig == "Random":
-                    return None if (call.args or call.keywords) else "rng"
-                if orig == "SystemRandom":
-                    return "rng"
-                return "rng"
-            return None
+    def _imported_target(self, func: ast.AST) -> Optional[Tuple[str, str]]:
+        """``(module, attribute path)`` a call target names through this
+        module's imports — ``('time', 'monotonic')`` for ``t.monotonic``
+        after ``import time as t`` or for ``monotonic`` after ``from time
+        import monotonic``; None when its head is not an import."""
         chain = _dotted(func)
         if chain is None:
             return None
         head, _, rest = chain.partition(".")
-        mod = self.module_aliases.get(head)
-        if mod == "time" and rest in WALL_CLOCK_TIME_ATTRS:
-            return "wall-clock"
-        if mod == "datetime" and (
-                rest in WALL_CLOCK_DATETIME_ATTRS
-                or (rest.startswith("datetime.")
-                    and rest.split(".", 1)[1] in WALL_CLOCK_DATETIME_ATTRS)):
-            return "wall-clock"
+        if head in self.module_aliases:
+            return self.module_aliases[head], rest
         bound = self.from_bindings.get(head)
-        if bound == ("datetime", "datetime") \
-                and rest in WALL_CLOCK_DATETIME_ATTRS:
-            return "wall-clock"
-        if mod == "random" and not self.rng_exempt:
-            if rest == "Random":
-                return None if (call.args or call.keywords) else "rng"
-            if "." not in rest:
-                return "rng"
-        return None
+        if bound is None:
+            return None
+        mod, orig = bound
+        return mod, f"{orig}.{rest}" if rest else orig
+
+    def _source_kind(self, call: ast.Call) -> Optional[Tuple[str, str]]:
+        """``(kind, detail)`` when ``call`` is a nondeterminism source.
+
+        ``kind`` is 'wall-clock' (a host clock read), 'rng' (the global
+        RNG, an unseeded ``Random()`` or ``SystemRandom``) or
+        'seeded-rng' (a seeded ``Random(...)`` built outside the stream
+        registry); ``detail`` names the call for the report.
+        """
+        target = self._imported_target(call.func)
+        if target is None:
+            return None
+        mod, attr = target
+        label = _dotted(call.func)
+        if (mod == "time" and attr in WALL_CLOCK_TIME_ATTRS) or (
+                mod == "datetime" and attr.removeprefix("datetime.")
+                in WALL_CLOCK_DATETIME_ATTRS):
+            return "wall-clock", f"wall-clock call {label}()"
+        if mod != "random" or self.rng_exempt or not attr or "." in attr:
+            return None
+        if attr == "Random":
+            if call.args or call.keywords:
+                return "seeded-rng", f"direct {label}(...) construction"
+            return "rng", f"unseeded {label}()"
+        if attr == "SystemRandom":
+            return "rng", f"{label}()"
+        return "rng", f"process-global RNG call {label}()"
 
     # ------------------------------------------------------------------
     # Expression facts (taint skeleton)
@@ -399,13 +431,13 @@ class _Summarizer:
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 deps.add(sub.id)
             elif isinstance(sub, ast.Call):
-                kind = self._source_kind(sub)
+                kind = self.taint_sources.get(id(sub))
                 if kind is not None:
                     kinds.add(kind)
                 ref = self._resolve_call(sub.func, cls)
                 if ref is not None:
                     calls.add(ref)
-                callee = _terminal(sub.func)
+                callee = terminal_name(sub.func)
                 if callee in self.config.schedule_callees and any(
                         isinstance(a, ast.Lambda) or (
                             isinstance(a, ast.Name) and a.id in local_defs)
@@ -642,7 +674,8 @@ class _HookWalker:
                 or self._possibly_none(value.orelse, nonnull | neg)
         if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or):
             return self._possibly_none(value.values[-1], nonnull)
-        if (isinstance(value, ast.Call) and _terminal(value.func) == "getattr"
+        if (isinstance(value, ast.Call)
+                and terminal_name(value.func) == "getattr"
                 and len(value.args) == 3):
             return self._possibly_none(value.args[2], nonnull)
         return False
@@ -840,14 +873,30 @@ class _HookWalker:
 # Project assembly
 # ---------------------------------------------------------------------------
 def summarize_source(source: str, path: str,
-                     config: Optional[ProjectConfig] = None) -> ModuleSummary:
-    """Parse and summarize one module (raises SyntaxError on bad input)."""
+                     config: Optional[ProjectConfig] = None,
+                     module: Optional[str] = None) -> ModuleSummary:
+    """Parse and summarize one module (raises SyntaxError on bad input).
+
+    ``module`` overrides the dotted name :func:`module_name_for` derives
+    (the project keys name-colliding files by path instead).
+    """
     config = config if config is not None else ProjectConfig()
-    module, is_pkg = module_name_for(path)
+    if module is None:
+        module = module_name_for(path)[0]
+    is_pkg = os.path.basename(path) == "__init__.py"
     tree = ast.parse(source, filename=path)
     facts = _Summarizer(module, path, is_pkg, tree, source, config).run()
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
     return ModuleSummary(module=module, path=path, sha256=digest, facts=facts)
+
+
+class BuildError(NamedTuple):
+    """A file the project could not summarize (reported as RL999)."""
+
+    path: str
+    message: str
+    line: int = 1
+    col: int = 0
 
 
 @dataclass
@@ -856,7 +905,7 @@ class BuildStats:
 
     parsed: List[str] = field(default_factory=list)
     reused: List[str] = field(default_factory=list)
-    errors: List[Tuple[str, str]] = field(default_factory=list)
+    errors: List[BuildError] = field(default_factory=list)
 
 
 class Project:
@@ -934,6 +983,41 @@ class Project:
         return merged, owner
 
 
+def iter_python_files(paths: Sequence[str]) -> List[str]:
+    """Expand files/directories into a deterministic list of .py files,
+    each file once however many of ``paths`` reach it."""
+    out: List[str] = []
+    seen: Set[str] = set()
+    for path in paths:
+        if os.path.isdir(path):
+            found = []
+            for root, dirs, files in os.walk(path):
+                dirs[:] = sorted(d for d in dirs
+                                 if d not in ("__pycache__", ".git"))
+                found.extend(os.path.join(root, f)
+                             for f in sorted(files) if f.endswith(".py"))
+        else:
+            found = [path]
+        for name in found:
+            key = os.path.abspath(name)
+            if key not in seen:
+                seen.add(key)
+                out.append(name)
+    return out
+
+
+def _module_keys(files: Sequence[str]) -> Dict[str, str]:
+    """Path -> project key: the dotted module name, unless two files
+    share it (same-stem scripts in different non-package directories).
+    Those are keyed by their path instead, so no file is lost and no
+    import resolves to either — an ambiguous name resolves to nothing,
+    like every other ambiguous edge in the model."""
+    names = {path: module_name_for(path)[0] for path in files}
+    counts = Counter(names.values())
+    return {path: name if counts[name] == 1 else path.replace(os.sep, "/")
+            for path, name in names.items()}
+
+
 def build_project(paths: Sequence[str],
                   config: Optional[ProjectConfig] = None,
                   cached: Optional[Dict[str, dict]] = None,
@@ -941,31 +1025,33 @@ def build_project(paths: Sequence[str],
     """Parse ``paths`` into a :class:`Project`.
 
     ``cached`` maps path -> summary JSON from a previous run; entries
-    whose content hash still matches are reused without parsing.
+    whose content hash and module key still match are reused without
+    parsing.
     """
-    from .lint import iter_python_files  # shared walker, no cycle
-
     config = config if config is not None else ProjectConfig()
     stats = BuildStats()
     summaries: Dict[str, ModuleSummary] = {}
-    for path in iter_python_files(paths):
+    for path, module in _module_keys(iter_python_files(paths)).items():
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
         except OSError as exc:
-            stats.errors.append((path, str(exc)))
+            stats.errors.append(BuildError(path, str(exc)))
             continue
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         entry = (cached or {}).get(os.path.abspath(path))
-        if entry is not None and entry.get("sha256") == digest:
+        if entry is not None and entry.get("sha256") == digest \
+                and entry.get("module") == module:
             summary = ModuleSummary.from_json(entry)
-            stats.reused.append(summary.module)
+            stats.reused.append(module)
         else:
             try:
-                summary = summarize_source(source, path, config)
+                summary = summarize_source(source, path, config, module)
             except SyntaxError as exc:
-                stats.errors.append((path, f"parse error: {exc.msg}"))
+                stats.errors.append(BuildError(
+                    path, f"parse error: {exc.msg}", exc.lineno or 1,
+                    (exc.offset or 1) - 1))
                 continue
-            stats.parsed.append(summary.module)
-        summaries[summary.module] = summary
+            stats.parsed.append(module)
+        summaries[module] = summary
     return Project(summaries), stats

@@ -1,4 +1,4 @@
-"""Stable report formatting shared by ``lint`` and ``analyze``.
+"""Stable report formatting for the analyzer's findings.
 
 CI diffs the output between runs, so every format is strictly
 deterministic: findings sorted by (path, line, column, code), paths

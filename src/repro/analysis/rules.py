@@ -1,7 +1,9 @@
-"""The `repro-lint` rule catalog: one AST pass, five repro-specific rules.
+"""The per-file rule catalog (RL001–RL006) and its AST vocabulary.
 
 Each rule targets a bug class that has already cost a PR to fix by hand
-(see DESIGN.md §9):
+(see DESIGN.md §9).  All of them run inside the whole-program analyzer
+(:mod:`repro.analysis.project` records their raw hits while it
+summarizes a module; :mod:`repro.analysis.checkers` reports them):
 
 * **RL001 raw-seq-compare** — ordered comparison (``<``/``<=``/``>``/
   ``>=``) or bare subtraction on identifiers that name TCP sequence
@@ -35,6 +37,11 @@ Each rule targets a bug class that has already cost a PR to fix by hand
   RNGs are invisible to it and silently reset on restore.  ALL_CAPS
   module constants are exempt by convention (they are configuration,
   not run state).
+
+RL002, RL003 and the ``Random(...)`` case of RL006 come from the
+analyzer's single call classifier (it also feeds RL101's taint
+sources); the registry and ``global`` cases of RL006 from its module
+symbol table; RL001, RL004 and RL005 from :class:`RuleVisitor` below.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 RULE_CATALOG: Dict[str, str] = {
     "RL000": "suppression-missing-reason: a `# repro-lint: disable=` "
@@ -70,7 +77,7 @@ RULE_CATALOG: Dict[str, str] = {
 
 @dataclass(frozen=True, order=True)
 class Violation:
-    """One lint finding, ordered for the stable report format."""
+    """One finding, ordered for the stable report format."""
 
     path: str
     line: int
@@ -93,16 +100,10 @@ _SEQ_TOKENS = {"seq", "una", "nxt", "edge", "iss", "irs"}
 _TIME_EXACT = {"now", "deadline"}
 _TIME_SUFFIXES = ("_at", "_time", "_deadline", "_timestamp")
 
-_WALL_CLOCK_TIME_ATTRS = {
-    "time", "monotonic", "perf_counter", "process_time",
-    "time_ns", "monotonic_ns", "perf_counter_ns", "process_time_ns",
-}
-_WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
-
 _SNAKE_SPLIT = re.compile(r"[^a-zA-Z0-9]+")
 
 
-def _terminal_name(node: ast.AST) -> Optional[str]:
+def terminal_name(node: ast.AST) -> Optional[str]:
     """The rightmost identifier of a Name/Attribute chain, else None."""
     if isinstance(node, ast.Attribute):
         return node.attr
@@ -112,7 +113,7 @@ def _terminal_name(node: ast.AST) -> Optional[str]:
 
 
 def _is_seq_name(node: ast.AST) -> bool:
-    name = _terminal_name(node)
+    name = terminal_name(node)
     if name is None:
         return False
     if name.isupper():
@@ -125,7 +126,7 @@ def _is_seq_name(node: ast.AST) -> bool:
 
 
 def _is_time_name(node: ast.AST) -> bool:
-    name = _terminal_name(node)
+    name = terminal_name(node)
     if name is None:
         return False
     lowered = name.lower()
@@ -137,7 +138,7 @@ def _is_mutable_literal(node: ast.AST) -> bool:
                          ast.ListComp, ast.DictComp, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        callee = _terminal_name(node.func)
+        callee = terminal_name(node.func)
         return callee in {"list", "dict", "set", "bytearray",
                           "deque", "defaultdict", "OrderedDict", "Counter"}
     return False
@@ -148,81 +149,39 @@ def _is_mutable_literal(node: ast.AST) -> bool:
 _STATEFUL_ITER_CALLEES = {"count", "cycle", "chain", "repeat"}
 
 
-def _is_registry_value(node: ast.AST) -> bool:
-    """Mutable containers *or* stateful iterators (RL006 scope)."""
+def is_registry_value(node: ast.AST) -> bool:
+    """Mutable containers *or* stateful iterators: module-level run
+    state (RL006, and the registry aliases RL104 looks for)."""
     if _is_mutable_literal(node):
         return True
     if isinstance(node, ast.Call):
-        return _terminal_name(node.func) in _STATEFUL_ITER_CALLEES
+        return terminal_name(node.func) in _STATEFUL_ITER_CALLEES
     return False
 
 
 class RuleVisitor(ast.NodeVisitor):
-    """Single-pass visitor emitting raw (pre-suppression) violations."""
+    """Single pass recording raw RL001/RL004/RL005 hits.
 
-    def __init__(self, path: str,
-                 enabled: Optional[Set[str]] = None) -> None:
-        self.path = path
-        self.enabled = enabled  # None = all rules
-        self.violations: List[Violation] = []
-        # Aliases under which the `random` / `time` / `datetime` modules
-        # (or their nondeterministic members) are reachable in this file.
-        self._random_aliases: Set[str] = set()
-        self._random_func_names: Set[str] = set()
-        self._random_class_names: Set[str] = set()  # `from random import Random`
-        self._time_aliases: Set[str] = set()
-        self._time_func_names: Set[str] = set()
-        self._datetime_aliases: Set[str] = set()  # datetime module or class
+    Each hit is a plain-JSON ``[code, line, col, message]`` row, so the
+    module summary (and with it the incremental cache) can hold them.
+    ``seq_exempt`` drops RL001 for the serial-arithmetic helpers module.
+    """
+
+    def __init__(self, seq_exempt: bool = False) -> None:
+        self.seq_exempt = seq_exempt
+        self.hits: List[list] = []
         self._parents: Dict[int, ast.AST] = {}
 
     # ------------------------------------------------------------------
     def _emit(self, code: str, node: ast.AST, message: str) -> None:
-        if self.enabled is not None and code not in self.enabled:
+        if code == "RL001" and self.seq_exempt:
             return
-        self.violations.append(Violation(
-            path=self.path, line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0), code=code, message=message))
+        self.hits.append([code, node.lineno, node.col_offset, message])
 
     def generic_visit(self, node: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
             self._parents[id(child)] = node
         super().generic_visit(node)
-
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        return self._parents.get(id(node))
-
-    # ------------------------------------------------------------------
-    # Import tracking (for RL002 / RL003)
-    # ------------------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "random":
-                self._random_aliases.add(bound)
-            elif alias.name == "time":
-                self._time_aliases.add(bound)
-            elif alias.name == "datetime":
-                self._datetime_aliases.add(bound)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "random":
-            for alias in node.names:
-                if alias.name == "Random":
-                    # Construction is checked at call sites (RL002 when
-                    # unseeded, RL006 when built outside the registry).
-                    self._random_class_names.add(alias.asname or alias.name)
-                    continue
-                self._random_func_names.add(alias.asname or alias.name)
-        elif node.module == "time":
-            for alias in node.names:
-                if alias.name in _WALL_CLOCK_TIME_ATTRS:
-                    self._time_func_names.add(alias.asname or alias.name)
-        elif node.module == "datetime":
-            for alias in node.names:
-                if alias.name == "datetime":
-                    self._datetime_aliases.add(alias.asname or alias.name)
-        self.generic_visit(node)
 
     # ------------------------------------------------------------------
     # RL001 + RL004: comparisons
@@ -231,18 +190,19 @@ class RuleVisitor(ast.NodeVisitor):
         operands = [node.left] + list(node.comparators)
         for op, left, right in zip(node.ops, operands, operands[1:]):
             if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                if _is_seq_name(left) or _is_seq_name(right):
+                seq = left if _is_seq_name(left) else right
+                if _is_seq_name(seq):
                     self._emit(
                         "RL001", node,
                         "ordered comparison on sequence-space identifier "
-                        f"'{_terminal_name(left) if _is_seq_name(left) else _terminal_name(right)}'"
-                        " (use seq_lt/seq_leq/seq_gt/seq_geq)")
+                        f"'{terminal_name(seq)}' "
+                        "(use seq_lt/seq_leq/seq_gt/seq_geq)")
             elif isinstance(op, (ast.Eq, ast.NotEq)):
                 if _is_time_name(left) and _is_time_name(right):
                     self._emit(
                         "RL004", node,
                         "exact float equality between sim timestamps "
-                        f"'{_terminal_name(left)}' and '{_terminal_name(right)}'")
+                        f"'{terminal_name(left)}' and '{terminal_name(right)}'")
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
@@ -252,8 +212,8 @@ class RuleVisitor(ast.NodeVisitor):
         if (isinstance(node.op, ast.Sub)
                 and (_is_seq_name(node.left) or _is_seq_name(node.right))
                 and not self._is_masked(node)):
-            name = (_terminal_name(node.left) if _is_seq_name(node.left)
-                    else _terminal_name(node.right))
+            name = (terminal_name(node.left) if _is_seq_name(node.left)
+                    else terminal_name(node.right))
             self._emit(
                 "RL001", node,
                 f"bare subtraction on sequence-space identifier '{name}' "
@@ -265,128 +225,16 @@ class RuleVisitor(ast.NodeVisitor):
         subtraction sits (possibly under further +/- terms) below a
         bitwise-and whose other operand mentions SEQ_MASK."""
         child: ast.AST = node
-        parent = self.parent(child)
+        parent = self._parents.get(id(child))
         while isinstance(parent, ast.BinOp):
             if isinstance(parent.op, ast.BitAnd):
                 other = parent.right if parent.left is child else parent.left
-                if _terminal_name(other) == "SEQ_MASK":
-                    return True
-                return False
+                return terminal_name(other) == "SEQ_MASK"
             if not isinstance(parent.op, (ast.Add, ast.Sub)):
                 return False
             child = parent
-            parent = self.parent(child)
+            parent = self._parents.get(id(child))
         return False
-
-    # ------------------------------------------------------------------
-    # RL002 + RL003: calls
-    # ------------------------------------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            base, attr = func.value.id, func.attr
-            if base in self._random_aliases:
-                self._check_random_attr_call(node, attr)
-            elif base in self._time_aliases and attr in _WALL_CLOCK_TIME_ATTRS:
-                self._emit("RL003", node,
-                           f"wall-clock call time.{attr}() "
-                           "(use the engine clock, sim.now)")
-            elif (base in self._datetime_aliases
-                    and attr in _WALL_CLOCK_DATETIME_ATTRS):
-                self._emit("RL003", node,
-                           f"wall-clock call {base}.{attr}() "
-                           "(use the engine clock, sim.now)")
-        elif (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Attribute)
-                and isinstance(func.value.value, ast.Name)
-                and func.value.value.id in self._datetime_aliases
-                and func.value.attr == "datetime"
-                and func.attr in _WALL_CLOCK_DATETIME_ATTRS):
-            # datetime.datetime.now()
-            self._emit("RL003", node,
-                       f"wall-clock call datetime.datetime.{func.attr}() "
-                       "(use the engine clock, sim.now)")
-        elif isinstance(func, ast.Name):
-            if func.id in self._random_func_names:
-                self._emit("RL002", node,
-                           f"module-level random function {func.id}() uses "
-                           "the shared global RNG (use an RngFactory stream)")
-            elif func.id in self._random_class_names:
-                if not node.args and not node.keywords:
-                    self._emit("RL002", node,
-                               "unseeded Random() is nondeterministic "
-                               "(seed it, or use an RngFactory stream)")
-                else:
-                    self._emit("RL006", node,
-                               "direct Random(...) construction bypasses "
-                               "the RngFactory stream registry; its "
-                               "position is invisible to snapshots")
-            elif func.id in self._time_func_names:
-                self._emit("RL003", node,
-                           f"wall-clock call {func.id}() "
-                           "(use the engine clock, sim.now)")
-        self.generic_visit(node)
-
-    def _check_random_attr_call(self, node: ast.Call, attr: str) -> None:
-        if attr == "Random":
-            if not node.args and not node.keywords:
-                self._emit("RL002", node,
-                           "unseeded random.Random() is nondeterministic "
-                           "(seed it, or use an RngFactory stream)")
-            else:
-                self._emit("RL006", node,
-                           "direct random.Random(...) construction bypasses "
-                           "the RngFactory stream registry; its position "
-                           "is invisible to snapshots")
-        elif attr == "SystemRandom":
-            self._emit("RL002", node,
-                       "random.SystemRandom is nondeterministic by design")
-        else:
-            self._emit("RL002", node,
-                       f"module-level random.{attr}() uses the shared "
-                       "global RNG (use an RngFactory stream)")
-
-    # ------------------------------------------------------------------
-    # RL006: module-level mutable registries and global counters
-    # ------------------------------------------------------------------
-    def _check_module_binding(self, node: ast.AST, target: ast.AST,
-                              value: Optional[ast.AST]) -> None:
-        """Flag ``name = <mutable>`` at module scope for non-constant
-        names.  ALL_CAPS bindings are configuration-by-convention and
-        dunders (``__all__``...) are interpreter protocol — both exempt."""
-        if value is None or not isinstance(target, ast.Name):
-            return
-        name = target.id
-        if name.isupper() or name.startswith("__"):
-            return
-        if not isinstance(self.parent(node), ast.Module):
-            return
-        if _is_registry_value(value):
-            self._emit("RL006", node,
-                       f"module-level mutable registry '{name}' lives "
-                       "outside every snapshot (restored runs silently "
-                       "reset it); hold it on an object the run owns")
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_module_binding(node, target, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._check_module_binding(node, node.target, node.value)
-        self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        # A `global` statement is the tell-tale of a module-level counter
-        # being written from inside a function — process-local state that
-        # no checkpoint captures (and immutable values like ints dodge
-        # the registry check above, so catch them at the mutation site).
-        names = ", ".join(node.names)
-        self._emit("RL006", node,
-                   f"global statement mutates module-level state "
-                   f"({names}); snapshots cannot capture it — hold it on "
-                   "an object the run owns")
-        self.generic_visit(node)
 
     # ------------------------------------------------------------------
     # RL005: mutable default arguments
@@ -399,15 +247,7 @@ class RuleVisitor(ast.NodeVisitor):
                 self._emit("RL005", default,
                            "mutable default argument is shared across calls "
                            "(default to None and construct inside)")
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
         self.generic_visit(node)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = \
+        _check_defaults

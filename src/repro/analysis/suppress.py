@@ -1,8 +1,7 @@
-"""Shared suppression parsing for the per-file lint pass *and* the
-whole-program analyzer.
+"""Suppression comments for the analyzer's findings.
 
-Both tools honour the same comment syntax (a reason is **required** — a
-bare disable does not suppress and is itself reported as RL000):
+The syntax (a reason is **required** — a bare disable does not suppress
+and is itself reported as RL000):
 
 * inline, on the flagged line (or a standalone comment on the line
   directly above it)::
@@ -33,6 +32,12 @@ SUPPRESS_RE = re.compile(
     r"(?P<codes>RL\d{3}(?:\s*,\s*RL\d{3})*)"
     r"(?:\s*\((?P<reason>[^)]*)\))?"
 )
+
+
+def _missing_reason(path: str, line: int, col: int) -> Violation:
+    return Violation(path=path, line=line, col=col, code="RL000",
+                     message="suppression is missing its (reason); the "
+                             "disable is ignored")
 
 
 @dataclass
@@ -67,15 +72,18 @@ class Suppressions:
             "by_line": {str(line): sorted(codes)
                         for line, codes in sorted(self.by_line.items())},
             "standalone": sorted(self.standalone),
+            "malformed": [[v.line, v.col] for v in self.malformed],
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Suppressions":
+    def from_json(cls, data: dict, path: str) -> "Suppressions":
         return cls(
             file_level=set(data.get("file_level", ())),
             by_line={int(line): set(codes)
                      for line, codes in data.get("by_line", {}).items()},
             standalone=set(data.get("standalone", ())),
+            malformed=[_missing_reason(path, line, col)
+                       for line, col in data.get("malformed", ())],
         )
 
 
@@ -83,9 +91,9 @@ def parse_suppressions(source: str, path: str) -> Suppressions:
     """Scan ``source`` for suppression comments.
 
     Reason-less disables are collected as RL000 violations in
-    ``.malformed`` (the disable itself is ignored); the per-file lint
-    pass reports them, the analyzer leaves that to lint so the two tools
-    never double-report the same comment.
+    ``.malformed`` (the disable itself is ignored); the analyzer reports
+    each one once per file, whatever rules are selected, and no
+    suppression can hide it.
     """
     sup = Suppressions()
     for lineno, text in enumerate(source.splitlines(), start=1):
@@ -95,11 +103,8 @@ def parse_suppressions(source: str, path: str) -> Suppressions:
         codes = {c.strip() for c in m.group("codes").split(",")}
         reason = (m.group("reason") or "").strip()
         if not reason:
-            sup.malformed.append(Violation(
-                path=path, line=lineno, col=max(text.find("#"), 0),
-                code="RL000",
-                message="suppression is missing its (reason); the disable "
-                        "is ignored"))
+            sup.malformed.append(
+                _missing_reason(path, lineno, max(text.find("#"), 0)))
             continue
         if m.group("scope"):
             sup.file_level |= codes

@@ -89,6 +89,27 @@ def test_epoch_change_invalidates_findings_not_summaries(tmp_path):
     assert stats.from_cache == 0
 
 
+def test_per_file_finding_is_cached_and_rechecked_after_edit(tmp_path):
+    root = write_pkg(tmp_path, dict(_TREE, **{
+        "pkg/d.py": "def gap(snd_nxt, snd_una):\n"
+                    "    return snd_nxt - snd_una\n"}))
+    cache_path = str(tmp_path / "cache.json")
+    select = ("RL001", "RL101")
+    cold, _ = _run(root, AnalysisCache(cache_path), select=select)
+    assert sorted(v.code for v in cold) == ["RL001", "RL101"]
+
+    warm, stats = _run(root, AnalysisCache(cache_path), select=select)
+    assert stats.parsed == 0 and stats.checked == 0
+    assert warm == cold
+
+    d = root / "pkg" / "d.py"
+    d.write_text("def gap(snd_nxt, snd_una):\n"
+                 "    return (snd_nxt - snd_una) & SEQ_MASK\n")
+    fixed, stats = _run(root, AnalysisCache(cache_path), select=select)
+    assert stats.parsed == 1 and stats.checked == 1
+    assert [v.code for v in fixed] == ["RL101"]
+
+
 def test_corrupt_cache_file_falls_back_to_cold(tmp_path):
     root = write_pkg(tmp_path, _TREE)
     cache_path = tmp_path / "cache.json"

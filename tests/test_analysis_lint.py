@@ -1,22 +1,35 @@
-"""Self-tests for the `repro-lint` AST pass (repro.analysis).
+"""Self-tests for the per-file rules RL000–RL006 and RL999.
 
 Each rule gets a bad fixture it must fire on and a clean fixture it must
 stay silent on; the suppression machinery, structural exemptions, report
-format and CLI exit codes are covered too.
+format and CLI exit codes are covered too.  Every fixture runs through
+the whole-program analyzer, as a one-file project.
 """
 
+import dataclasses
+import os
+import tempfile
 import textwrap
 
 import pytest
 
-from repro.analysis import LintConfig, format_report, lint_source
 from repro.analysis.__main__ import main as cli_main
+from repro.analysis.checkers import AnalyzeConfig, analyze_paths
+from repro.analysis.report import format_report
 from repro.analysis.rules import RULE_CATALOG
 
+PER_FILE = ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006")
 
-def lint(code, path="x.py", **cfg):
-    return lint_source(textwrap.dedent(code), path=path,
-                       config=LintConfig(**cfg))
+
+def lint(code, path="x.py", select=PER_FILE):
+    """Analyze ``code`` as the one file ``path``; findings carry ``path``."""
+    with tempfile.TemporaryDirectory() as root:
+        full = os.path.join(root, path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w", encoding="utf-8") as fh:
+            fh.write(textwrap.dedent(code))
+        found, _stats = analyze_paths([full], AnalyzeConfig(select=select))
+    return [dataclasses.replace(v, path=path) for v in found]
 
 
 def codes(violations):
@@ -280,6 +293,11 @@ class TestSuppression:
         vs = lint(f"{self.BAD}  # repro-lint: disable=RL001\n")
         # The disable is ignored AND itself reported.
         assert sorted(codes(vs)) == ["RL000", "RL001"]
+        # Exactly once, whatever the rule selection.
+        for select in ((), ("RL003",), ("RL101",)):
+            vs = lint(f"{self.BAD}  # repro-lint: disable=RL101\n",
+                      select=select)
+            assert codes(vs).count("RL000") == 1
 
     def test_file_level_suppresses_everywhere(self):
         vs = lint("# repro-lint: disable-file=RL001 (linear space here)\n"
@@ -310,6 +328,9 @@ def test_select_restricts_rules():
 def test_parse_error_reported_as_rl999():
     vs = lint("def broken(:\n")
     assert codes(vs) == ["RL999"]
+    # The SyntaxError's own position, not the top of the file.
+    vs = lint("x = 1\ny = 2\nz = (1 +\n")
+    assert [(v.line, v.col, v.code) for v in vs] == [(3, 4, "RL999")]
 
 
 def test_report_is_sorted_and_stable():
@@ -343,6 +364,8 @@ def test_rule_catalog_covers_all_emitted_codes():
 
 
 class TestCli:
+    SELECT = ["--no-cache", "--select", ",".join(PER_FILE)]
+
     def write(self, tmp_path, name, body):
         path = tmp_path / name
         path.write_text(textwrap.dedent(body))
@@ -350,29 +373,30 @@ class TestCli:
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         self.write(tmp_path, "ok.py", "x = 1\n")
-        assert cli_main(["lint", str(tmp_path)]) == 0
+        assert cli_main(["analyze", *self.SELECT, str(tmp_path)]) == 0
         assert "0 violations" in capsys.readouterr().out
 
     def test_violations_exit_one_sorted(self, tmp_path, capsys):
         self.write(tmp_path, "b.py", "d = snd_nxt - snd_una\n")
         self.write(tmp_path, "a.py", "import random\nx = random.random()\n")
-        assert cli_main(["lint", str(tmp_path)]) == 1
+        assert cli_main(["analyze", *self.SELECT, str(tmp_path)]) == 1
         out = capsys.readouterr().out.splitlines()
         # a.py before b.py: the report is file:line sorted.
         assert "a.py" in out[0] and "RL002" in out[0]
         assert "b.py" in out[1] and "RL001" in out[1]
-        assert out[-1] == "repro-lint: 2 violations"
+        assert out[-1] == "repro-analysis: 2 violations"
 
     def test_unknown_rule_exits_two(self, tmp_path):
         self.write(tmp_path, "ok.py", "x = 1\n")
-        assert cli_main(["lint", "--select", "RL777", str(tmp_path)]) == 2
+        assert cli_main(["analyze", "--no-cache", "--select", "RL777",
+                         str(tmp_path)]) == 2
 
     def test_no_subcommand_exits_two(self, capsys):
         assert cli_main([]) == 2
         capsys.readouterr()
 
     def test_list_rules(self, capsys):
-        assert cli_main(["lint", "--list-rules"]) == 0
+        assert cli_main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in RULE_CATALOG:
             assert code in out
@@ -381,6 +405,7 @@ class TestCli:
         self.write(tmp_path, "m.py",
                    "import random\nx = random.random()\n"
                    "d = snd_nxt - snd_una\n")
-        assert cli_main(["lint", "--select", "RL001", str(tmp_path)]) == 1
+        assert cli_main(["analyze", "--no-cache", "--select", "RL001",
+                         str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "RL001" in out and "RL002" not in out

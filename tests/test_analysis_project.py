@@ -3,6 +3,7 @@
 import os
 import textwrap
 
+from repro.analysis.checkers import analyze_paths
 from repro.analysis.project import (ProjectConfig, build_project,
                                     module_name_for, summarize_source)
 
@@ -71,6 +72,28 @@ def test_parse_error_is_reported_not_fatal(tmp_path):
     assert "pkg.broken" not in project.modules
     assert len(stats.errors) == 1
     assert "parse error" in stats.errors[0][1]
+    assert (stats.errors[0].line, stats.errors[0].col) == (1, 6)
+
+
+def test_same_stem_files_in_different_directories_are_all_kept(tmp_path):
+    # Two non-package scripts share the dotted name `helpers`; keying by
+    # that name alone let the later file overwrite the earlier one.
+    root = write_pkg(tmp_path, {
+        "a/helpers.py": "X = 1\n",
+        "b/helpers.py": """\
+            import time
+
+
+            class Clock:
+                def tick(self):
+                    self.t = time.time()
+            """,
+    })
+    found, stats = analyze_paths([str(root / "b"), str(root / "a")])
+    assert stats.modules == 2
+    assert sorted(v.code for v in found) == ["RL003", "RL101"]
+    assert all(v.path.endswith(os.path.join("b", "helpers.py"))
+               for v in found)
 
 
 def test_event_schema_extraction(tmp_path):

@@ -1,17 +1,21 @@
 """The source tree itself must be analyzer clean.
 
 Tier-1 twin of the CI step ``python -m repro.analysis analyze src/``:
-any new cross-file determinism leak, trace-schema drift, unguarded
-zero-cost-off hook or unpicklable callable in checkpointed state landing
-in ``src/repro`` fails here with the full file:line report.  The
-committed baseline is *empty* — every finding the checkers surface must
-be fixed (or suppressed with a written reason), never grandfathered.
+any new raw sequence comparison, ad-hoc RNG, wall-clock read, timestamp
+equality, mutable default or non-snapshot-safe module state (RL001–
+RL006), and any cross-file determinism leak, trace-schema drift,
+unguarded zero-cost-off hook or unpicklable callable in checkpointed
+state (RL101–RL104) landing in ``src/repro`` fails here with the full
+file:line report.  The committed baseline is *empty* — every finding
+must be fixed (or suppressed with a written reason), never
+grandfathered.
 """
 
 import json
 import os
 
-from repro.analysis import analyze_paths, format_report
+from repro.analysis.checkers import analyze_paths
+from repro.analysis.report import format_report
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src", "repro")
